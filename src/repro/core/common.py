@@ -14,6 +14,7 @@ Conventions used by every algorithm in :mod:`repro.core`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.data.relation import Row, project_row
@@ -70,11 +71,20 @@ def canonical_attrs(attr_sets: Sequence[Sequence[str]]) -> tuple[str, ...]:
 
 
 def align_to_schema(rows: list[Row], attrs: Sequence[str], target: Sequence[str]) -> list[Row]:
-    """Reorder row columns from ``attrs`` order to ``target`` order."""
+    """Reorder row columns from ``attrs`` order to ``target`` order.
+
+    Returns ``rows`` itself when the orders agree.  ``itemgetter`` with
+    one index yields a bare value, so a one-column target is re-wrapped
+    into 1-tuples by ``zip``.
+    """
     if tuple(attrs) == tuple(target):
         return rows
     idx = [list(attrs).index(a) for a in target]
-    return [tuple(r[i] for i in idx) for r in rows]
+    if len(idx) > 1:
+        return list(map(itemgetter(*idx), rows))
+    if idx:
+        return list(zip(map(itemgetter(idx[0]), rows)))
+    return [()] * len(rows)
 
 
 def local_hash_join(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import pickle
 import zlib
 from array import array
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "encode_column",
     "pack_blob",
     "unpack_blob",
-    "packed_size",
     "pack_frame",
     "unpack_frame_block",
     "unpack_frame",
@@ -54,9 +54,6 @@ _PROTO = pickle.HIGHEST_PROTOCOL
 #: substrate can read a column's homogeneity in O(1) instead of scanning.
 TAG_NUM = 2
 TAG_STR = 3
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
 
 # Signed/unsigned array typecodes by width, verified at import time (the C
 # sizes of 'i'/'l' are platform-defined; we only use codes whose itemsize
@@ -204,16 +201,15 @@ def encode_column(values: Sequence[Any]) -> Column:
     int64) become ``array('q')``; everything else is dictionary-encoded on
     ``(type, value)`` keys — the type in the key is what keeps ``True``,
     ``1``, and ``1.0`` apart even though ``dict`` equality identifies them.
-    Unhashable values fall back to a plain object list.
+    Unhashable values fall back to a plain object list.  Lists and tuples
+    (the columns ``zip`` yields) are read in place, without a copy.
     """
-    vals = values if isinstance(values, list) else list(values)
-    all_int = True
-    for v in vals:
-        if type(v) is not int or not (_I64_MIN <= v <= _I64_MAX):
-            all_int = False
-            break
-    if all_int:
-        return Column("i", array("q", vals))
+    vals = values if isinstance(values, (list, tuple)) else list(values)
+    if set(map(type, vals)) <= {int}:
+        try:
+            return Column("i", array("q", vals))
+        except OverflowError:  # beyond int64: dictionary-encode instead
+            pass
     index: dict[tuple, int] = {}
     dictionary: list = []
     codes = array("q", bytes(0))
@@ -248,19 +244,19 @@ class ColumnBlock:
     def from_rows(cls, rows: Sequence[tuple], arity: int) -> "ColumnBlock":
         """Encode a list of equal-arity row tuples.
 
+        The rows are flattened once and each column taken as a strided
+        slice: a C-speed transpose, about twice as fast as ``zip(*rows)``.
+
         Raises:
-            ValueError: If any row's arity differs — ``zip`` would
-                otherwise silently truncate to the shortest row and a
-                later decode would serve corrupted rows.
+            ValueError: If any row's arity differs — the strided slices
+                would otherwise interleave values of different columns
+                and a later decode would serve corrupted rows.
         """
-        n = len(rows)
-        if not n or not arity:
-            if any(len(r) != arity for r in rows):
-                raise ValueError(f"rows are not uniformly arity {arity}")
-            return cls(n, [encode_column([]) for _ in range(arity)])
-        if any(len(r) != arity for r in rows):
+        if set(map(len, rows)) - {arity}:
             raise ValueError(f"rows are not uniformly arity {arity}")
-        return cls(n, [encode_column(col) for col in zip(*rows)])
+        flat = list(chain.from_iterable(rows))
+        cols = [encode_column(flat[j::arity]) for j in range(arity)]
+        return cls(len(rows), cols)
 
     def __len__(self) -> int:
         return self.n
@@ -419,11 +415,6 @@ def unpack_blob(blob: bytes) -> list[tuple]:
         else:
             value_lists.append(spec[1])
     return list(zip(*value_lists))
-
-
-def packed_size(part: Sequence, block: ColumnBlock | None = None) -> int:
-    """Wire bytes :func:`pack_blob` would ship for ``part`` (bench helper)."""
-    return len(pack_blob(part, block))
 
 
 # ----------------------------------------------------------------------

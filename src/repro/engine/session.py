@@ -140,8 +140,8 @@ class _CachedResult:
     report: LoadReport
     meta: dict[str, Any]
     out_size: int
-    #: Resident bytes (packed columnar blob sizes, byte-exact) — the unit
-    #: the engine's recording LRU budgets against.
+    #: Resident column bytes of the stored blocks — the unit the
+    #: engine's recording LRU budgets against.
     stored_bytes: int = 0
 
     def served_relation(self) -> Any:
@@ -533,7 +533,7 @@ class Engine:
             result cache and plan replay; evicting one falls the next
             warm execution back to a (re-recording) full drive.
         result_cache_bytes: Byte bound on the same LRU, measured as the
-            exact packed-blob size of each recording's column blocks
+            resident column bytes of each recording's column blocks
             (``None`` = unbounded).
         degrade_to_serial: When the warm backend faults past its own
             recovery (a :class:`~repro.errors.FaultError` escapes), re-run
@@ -750,34 +750,24 @@ class Engine:
     # Recording LRU (backs the result cache AND plan replay)
     # ------------------------------------------------------------------
     def _recording_nbytes(self, stored: Any) -> int:
-        """Resident bytes of a recording's payload, byte-exact.
+        """Resident bytes of a recording's payload.
 
-        Sizes are the *packed blob* lengths of the stored column blocks —
-        the canonical resident encoding — not ``approx_nbytes()``
-        estimates: the estimate priced dictionary columns by their code
-        arrays alone, undercounting dictionary-heavy blocks (wide string
-        dictionaries can dwarf their uint8 codes) badly enough for the
-        ``result_cache_bytes`` cap to be blown in practice.  Blocks whose
-        object columns resist pickling fall back to the estimate — better
-        an approximate charge than an unrecordable execution.
+        The resident column bytes of the stored blocks
+        (``ColumnBlock.approx_nbytes()``): typed buffers counted exactly,
+        dictionary and object values by ``sys.getsizeof``.  That is what
+        the LRU holds — uncompressed arrays, not a compressed wire blob.
         """
-        def block_bytes(block: ColumnBlock) -> int:
-            try:
-                return len(pack_blob((), block))
-            except Exception:  # noqa: BLE001 - unpicklable values
-                return block.approx_nbytes()
-
         if isinstance(stored, _ColumnarPayload):
-            return 256 + sum(block_bytes(b) for b in stored.blocks)
+            return 256 + sum(b.approx_nbytes() for b in stored.blocks)
         if isinstance(stored, Relation):
-            return 256 + block_bytes(stored.columns)
+            return 256 + stored.columns.approx_nbytes()
         return 256
 
     def _store_recording(self, entry: PreparedQuery, recording: _CachedResult) -> None:
         """Attach a recording to its plan entry under the LRU bounds.
 
-        The LRU is keyed by plan-cache key and budgets byte-exact
-        resident sizes (packed columnar blob lengths) alongside an entry
+        The LRU is keyed by plan-cache key and budgets resident column
+        bytes (``ColumnBlock.approx_nbytes()``) alongside an entry
         count, so a long serving session cannot grow recording memory
         without limit.  Evicting a recording drops both the result-cache serve
         and the plan-replay fast path for that entry; the next execution

@@ -101,6 +101,48 @@ class TestColumnRoundTrip:
         for g, r in zip(got, rows):
             same_values(list(g), list(r))
 
+    @pytest.mark.parametrize(
+        "vals, kind",
+        [
+            (list(range(-3, 50)), "i"),
+            (tuple(range(-3, 50)), "i"),  # a column as ``zip`` yields it
+            ([1, 2, True, 3], "d"),  # bool is an int subclass, not an int
+            ((1, 2, True, 3), "d"),
+            ([1, 2**63, 3], "d"),  # int64 overflow
+            ([1, -(2**63) - 1], "d"),
+            ([-(2**63), 2**63 - 1], "i"),  # int64 bounds still fit
+            ([], "i"),
+            ((), "i"),
+            (("a", 1, "a", 1.0), "d"),
+            (([1], [2]), "o"),
+        ],
+    )
+    def test_encode_kind_and_round_trip(self, vals, kind):
+        col = encode_column(vals)
+        assert col.kind == kind
+        same_values(col.values(), list(vals))
+
+    def test_block_columns_keep_kinds_and_types(self):
+        rows = [(i, str(i % 3), i << 40, i << 60, i % 2 == 0) for i in range(30)]
+        block = ColumnBlock.from_rows(rows, 5)
+        assert [c.kind for c in block.columns] == ["i", "d", "i", "d", "d"]
+        for got, want in zip(block.rows(), rows):
+            same_values(list(got), list(want))
+
+    @pytest.mark.parametrize(
+        "rows, arity",
+        [
+            ([(1, 2), (3,)], 2),
+            ([(1, 2), (3, 4, 5)], 2),
+            ([(1,), (2,)], 2),
+            ([()], 1),
+            ([(1,)], 0),
+        ],
+    )
+    def test_ragged_rows_raise(self, rows, arity):
+        with pytest.raises(ValueError):
+            ColumnBlock.from_rows(rows, arity)
+
     def test_zero_arity_block_keeps_cardinality(self):
         block = ColumnBlock.from_rows([(), (), ()], 0)
         assert block.n == 3

@@ -83,6 +83,19 @@ class TestCommonHelpers:
         rows = [(1, 2)]
         assert align_to_schema(rows, ("A", "B"), ("B", "A")) == [(2, 1)]
         assert align_to_schema(rows, ("A", "B"), ("A", "B")) is rows
+        # A one-column target still yields 1-tuples, not bare values.
+        wide = [(1, "x", 2.5, None), (3, "y", 4.5, True)]
+        attrs = ("A", "B", "C", "D")
+        assert align_to_schema(wide, attrs, ("C",)) == [(2.5,), (4.5,)]
+        assert align_to_schema([], attrs, ("B",)) == []
+        # A permutation of three or more columns (and a projection).
+        assert align_to_schema(wide, attrs, ("D", "A", "C", "B")) == [
+            (None, 1, 2.5, "x"), (True, 3, 4.5, "y"),
+        ]
+        assert align_to_schema(wide, attrs, ("C", "A", "B")) == [
+            (2.5, 1, "x"), (4.5, 3, "y"),
+        ]
+        assert align_to_schema(wide, attrs, ()) == [(), ()]
 
     def test_local_hash_join(self):
         attrs, rows = local_hash_join(

@@ -292,8 +292,8 @@ class TestRecordingLRU:
         whose dictionary held a few large values (KBs of string/bytes per
         distinct value over 1-byte codes) was admitted at a tiny fraction
         of its resident size and blew the result_cache_bytes cap.  The
-        accounting now measures the packed blob, so the cap must reject
-        such a recording outright."""
+        accounting now counts the resident dictionary values, so the cap
+        must reject such a recording outright."""
         import random
 
         rng = random.Random(11)
@@ -313,6 +313,24 @@ class TestRecordingLRU:
         unbounded.register(Relation("R", ("A", "B"), rows))
         unbounded.execute(q)
         assert unbounded._recording_bytes > 30_000  # dictionaries counted
+
+    def test_recordings_are_priced_by_resident_column_bytes(self):
+        """The LRU charges what it holds: the uncompressed column arrays
+        of the stored blocks, not a compressed wire blob of them."""
+        eng = Engine(p=3, result_cache_bytes=None)
+        eng.register(Relation("R", ("A", "B"), [(i, i % 7) for i in range(3000)]))
+        eng.register(Relation("S", ("B", "C"), [(i % 7, i) for i in range(30)]))
+        eng.execute("Q(A,B,C) :- R(A,B), S(B,C)")
+        (entry,) = [e for e in eng.prepared_queries() if e.cached_result]
+        blocks = entry.cached_result.relation.blocks
+        assert sum(b.n for b in blocks) == entry.cached_result.out_size > 0
+        assert all(c.kind == "i" for b in blocks for c in b.columns)
+        resident = sum(b.approx_nbytes() for b in blocks)
+        assert eng._recording_bytes == 256 + resident
+        typed = sum(
+            c.data.itemsize * len(c.data) for b in blocks for c in b.columns
+        )
+        assert resident >= typed
 
     def test_unbounded_when_none(self):
         eng = self._engine(result_cache_entries=None, result_cache_bytes=None)
